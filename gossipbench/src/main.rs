@@ -114,18 +114,20 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     })
 }
 
-fn pass(args: &Args, obs: Option<EngineObs>) -> Pass {
+/// A pass over `share` of the run's rounds (at least one).
+fn pass(args: &Args, share: f64, obs: Option<EngineObs>) -> Pass {
+    let seconds = args.seconds as f64 * share;
     Pass {
         seed: args.seed,
-        planned: (args.seconds as f64 * args.workload.rounds_per_second).ceil() as u64,
-        deadline_ns: args.seconds * DEADLINE_FACTOR * 1_000_000_000,
+        planned: ((seconds * args.workload.rounds_per_second).ceil() as u64).max(1),
+        deadline_ns: (seconds * DEADLINE_FACTOR as f64 * 1e9) as u64,
         obs,
     }
 }
 
 /// `--trace 0`: one untraced pass, end-to-end metrics.
 fn end_to_end(args: &Args) -> Result<String, String> {
-    let tally = (args.workload.run)(&pass(args, None))?;
+    let tally = (args.workload.run)(&pass(args, 1.0, None))?;
     let mut values = Values::default();
     tally.end_to_end(&mut values);
     values.set("peak_rss_mb", rss::peak_rss_mb()?);
@@ -134,10 +136,12 @@ fn end_to_end(args: &Args) -> Result<String, String> {
 
 /// `--trace 1`: an untraced pass, then the same pass traced; per-layer
 /// metrics from the traced one, and the difference of their `wall_s`.
+/// Each pass covers half the run's rounds, so the traced invocation
+/// stays near the length of an untraced one.
 fn per_layer(args: &Args) -> Result<String, String> {
-    let plain = (args.workload.run)(&pass(args, None))?;
+    let plain = (args.workload.run)(&pass(args, 0.5, None))?;
     let metrics = Metrics::new();
-    let traced = (args.workload.run)(&pass(args, Some(EngineObs::new(&metrics))))?;
+    let traced = (args.workload.run)(&pass(args, 0.5, Some(EngineObs::new(&metrics))))?;
 
     let mut values = Values::default();
     let (mut plain_e2e, mut traced_e2e) = (Values::default(), Values::default());
