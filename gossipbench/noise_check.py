@@ -10,10 +10,10 @@ sit well above the spread this command shows on the host that measures.
 Run from the repository root:
 
     python3 gossipbench/noise_check.py [--runs 5] [--workloads paper_mc,...]
-        [--seconds N] [--first-seed 1000]
+        [--first-seed 1000]
 
-Each set makes --runs runs per workload, each with its own seed; runs of
-the two sets alternate (A, B, B, A, ...). The exit code is 0 when every
+Each set makes --runs runs per workload of BENCHMARK.json's run_seconds,
+each with its own seed; runs of the two sets alternate (A, B, B, A, ...). The exit code is 0 when every
 median pair agrees within its bound and both sets fail the same share of
 operations, 1 otherwise.
 """
@@ -56,13 +56,12 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=5, help="runs per set per workload")
     parser.add_argument("--workloads", default=None, help="comma-separated subset")
-    parser.add_argument("--seconds", type=int, default=None, help="override run_seconds")
     parser.add_argument("--first-seed", type=int, default=1000)
     opts = parser.parse_args()
 
     bench = load_benchmark()
     command = bench["command"]
-    seconds = opts.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     names = [w["name"] for w in bench["workloads"]]
     if opts.workloads:
         names = [n for n in opts.workloads.split(",") if n]

@@ -4,11 +4,16 @@
 
 use noc_experiments::runner::take_reports;
 use noc_experiments::TrialRunner;
+use noc_fabric::NodeId;
+use noc_faults::InjectionTally;
 use noc_obs::Stopwatch;
-use stochastic_noc::{EngineObs, EventSink, Simulation, SimulationReport};
+use stochastic_noc::{
+    CounterSink, EngineObs, EventSink, Simulation, SimulationBuilder, SimulationReport,
+};
 
+use crate::checks;
 use crate::output::Values;
-use crate::stats::{median, secs};
+use crate::stats::{percentile, secs, MEDIAN_SAMPLES};
 
 /// One pass over a workload: its seed, how many rounds it plans, the
 /// host-time budget after which it stops early, and — for the traced
@@ -16,9 +21,10 @@ use crate::stats::{median, secs};
 pub struct Pass {
     /// The workload seed (`--seed`).
     pub seed: u64,
-    /// Rounds to run.
+    /// Rounds to run; at least [`MIN_ROUNDS`].
     pub planned: u64,
-    /// Timed host nanoseconds after which no new round starts.
+    /// Timed host nanoseconds after which no new round past
+    /// [`MIN_ROUNDS`] starts.
     pub deadline_ns: u64,
     /// `Some` on the traced pass.
     pub obs: Option<EngineObs>,
@@ -30,6 +36,11 @@ impl Pass {
         self.obs.is_some()
     }
 }
+
+/// Every pass runs at least this many rounds: each round runs every trial
+/// point once, so `trial_p50_s` has enough samples per point for the
+/// percentile rule.
+pub const MIN_ROUNDS: u64 = MEDIAN_SAMPLES as u64;
 
 /// Per-layer samples. Trials fill one each; rounds merge them.
 #[derive(Debug, Default)]
@@ -94,6 +105,7 @@ impl Layers {
 }
 
 /// One trial's timings and its result for the checks.
+#[derive(Debug)]
 pub struct Trial<T> {
     /// Host time building the simulation (topology, build, injections).
     pub setup_ns: u64,
@@ -107,6 +119,20 @@ pub struct Trial<T> {
     pub layers: Layers,
     /// What the workload checks after the round.
     pub result: T,
+}
+
+impl<T> Trial<T> {
+    /// The same trial with its result mapped by `f`.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Trial<U> {
+        Trial {
+            setup_ns: self.setup_ns,
+            body_ns: self.body_ns,
+            packets: self.packets,
+            sim_rounds: self.sim_rounds,
+            layers: self.layers,
+            result: f(self.result),
+        }
+    }
 }
 
 /// Host time and simulated work of one round.
@@ -146,7 +172,8 @@ impl Tally {
 
     /// Should another round start?
     pub fn wants_round(&self, pass: &Pass) -> bool {
-        (self.rounds.len() as u64) < pass.planned && self.timed_ns < pass.deadline_ns
+        let done = self.rounds.len() as u64;
+        done < pass.planned && (done < MIN_ROUNDS || self.timed_ns < pass.deadline_ns)
     }
 
     /// Rounds run so far.
@@ -212,7 +239,10 @@ impl Tally {
     /// cut the run short) and rates are totals over total wall time: the
     /// host alternates between faster and slower spells lasting about a
     /// second, and only a sum over many of them is steady from run to run.
-    pub fn end_to_end(&self, values: &mut Values) {
+    ///
+    /// Fails when a trial point has too few samples for the percentile
+    /// rule, which [`MIN_ROUNDS`] prevents.
+    pub fn end_to_end(&self, values: &mut Values) -> Result<(), String> {
         let total = |f: fn(&Round) -> u64| self.rounds.iter().map(f).sum::<u64>() as f64;
         let wall = total(|r| r.wall_ns) * 1e-9;
         let scale = self.planned as f64 / self.rounds.len().max(1) as f64;
@@ -222,11 +252,19 @@ impl Tally {
         // A round mixes trial kinds whose times differ up to a hundredfold,
         // so a pooled median would fall between kinds: take the median of
         // each trial point and average over the points.
-        let points = self.trial_ns.len().max(1) as f64;
-        let p50 = self.trial_ns.iter().map(|t| median(&secs(t))).sum::<f64>() / points;
-        values.set("trial_p50_s", p50);
+        let mut p50 = 0.0;
+        for (point, samples) in self.trial_ns.iter().enumerate() {
+            p50 += percentile(&secs(samples), 0.5).ok_or_else(|| {
+                format!(
+                    "trial point {point} has {} samples, too few for a median",
+                    samples.len()
+                )
+            })?;
+        }
+        values.set("trial_p50_s", p50 / self.trial_ns.len().max(1) as f64);
         values.set("sim_packets_per_s", total(|r| r.packets) / wall);
         values.set("sim_rounds_per_s", total(|r| r.sim_rounds) / wall);
+        Ok(())
     }
 }
 
@@ -236,7 +274,7 @@ impl Tally {
 pub fn drive<S: EventSink>(
     mut sim: Simulation<S>,
     steps: Option<&mut Vec<u64>>,
-) -> (SimulationReport, S, noc_faults::InjectionTally) {
+) -> (SimulationReport, S, InjectionTally) {
     let max = sim.config().max_rounds;
     match steps {
         Some(steps) => {
@@ -257,10 +295,120 @@ pub fn drive<S: EventSink>(
     (report, sink, tally)
 }
 
+/// One trial of the simulation `builder` describes, with every
+/// `(source, destination)` of `messages` carrying `payload`. Set-up is
+/// timed from `setup`, which the caller starts before making the
+/// builder, to the last injection; the body from there to the report.
+/// On the traced pass the engine plane and a `CounterSink` are installed,
+/// each step is timed, and the trial's per-layer samples are recorded.
+pub fn timed_trial(
+    setup: Stopwatch,
+    builder: SimulationBuilder,
+    messages: &[(usize, usize)],
+    payload: &[u8],
+    pass: &Pass,
+) -> Trial<SimulationReport> {
+    let mut layers = Layers::default();
+    let (setup_ns, body_ns, report) = match &pass.obs {
+        Some(obs) => {
+            let sim = builder.obs(obs.clone()).build_with_sink(CounterSink::new());
+            let (setup_ns, body_ns, (report, counters, tally)) =
+                inject_and_drive(sim, &setup, messages, payload, Some(&mut layers.step_ns));
+            layers.build_ns.push(setup_ns);
+            layers.emitted += checks::events_emitted(&counters);
+            layers.duplicate_drops += counters.totals().duplicate_drops;
+            layers.upsets_fired += tally.upsets;
+            layers.overflow_drops += tally.overflow_drops;
+            layers.skew_draws += tally.skew_draws;
+            (setup_ns, body_ns, report)
+        }
+        None => {
+            let sim = builder.build();
+            let (setup_ns, body_ns, (report, ..)) =
+                inject_and_drive(sim, &setup, messages, payload, None);
+            (setup_ns, body_ns, report)
+        }
+    };
+    layers.count_report(&report);
+    Trial {
+        setup_ns,
+        body_ns,
+        packets: report.packets_sent,
+        sim_rounds: report.rounds_executed,
+        layers,
+        result: report,
+    }
+}
+
+/// [`timed_trial`]'s injections and run for either sink: returns set-up
+/// and body nanoseconds with what [`drive`] returns.
+fn inject_and_drive<S: EventSink>(
+    mut sim: Simulation<S>,
+    setup: &Stopwatch,
+    messages: &[(usize, usize)],
+    payload: &[u8],
+    steps: Option<&mut Vec<u64>>,
+) -> (u64, u64, (SimulationReport, S, InjectionTally)) {
+    for &(src, dst) in messages {
+        sim.inject(NodeId(src), NodeId(dst), payload.to_vec());
+    }
+    let setup_ns = setup.elapsed_nanos();
+    let body = Stopwatch::start();
+    let out = drive(sim, steps);
+    (setup_ns, body.elapsed_nanos(), out)
+}
+
 /// Manhattan distance between two tiles of a row-major `side × side`
 /// grid, computed from their coordinates.
 pub fn manhattan(side: usize, a: usize, b: usize) -> u64 {
     let (ax, ay) = (a % side, a / side);
     let (bx, by) = (b % side, b / side);
     (ax.abs_diff(bx) + ay.abs_diff(by)) as u64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tally(rounds: usize) -> Tally {
+        let round = Round {
+            wall_ns: 2_000_000,
+            setup_ns: 1_000,
+            trials: 2,
+            packets: 10,
+            sim_rounds: 4,
+        };
+        Tally {
+            rounds: vec![round; rounds],
+            // Two trial points, one fast and one slow.
+            trial_ns: vec![vec![1_000_000; rounds], vec![3_000_000; rounds]],
+            planned: rounds as u64,
+            ..Tally::default()
+        }
+    }
+
+    #[test]
+    fn trial_p50_needs_ten_samples_beyond_each_point_median() {
+        let mut values = Values::default();
+        assert!(tally(MIN_ROUNDS as usize - 1)
+            .end_to_end(&mut values)
+            .is_err());
+        tally(MIN_ROUNDS as usize)
+            .end_to_end(&mut values)
+            .expect("enough rounds");
+        // The mean of the two points' medians.
+        assert_eq!(values.get("trial_p50_s"), Some(2e-3));
+    }
+
+    #[test]
+    fn a_pass_runs_its_minimum_rounds_past_the_deadline() {
+        let pass = Pass {
+            seed: 0,
+            planned: MIN_ROUNDS + 5,
+            deadline_ns: 0,
+            obs: None,
+        };
+        assert!(tally(MIN_ROUNDS as usize - 1).wants_round(&pass));
+        assert!(!tally(MIN_ROUNDS as usize).wants_round(&pass));
+    }
 }

@@ -4,12 +4,13 @@
 //! rounds each trial is checkpointed through `to_bytes` → `from_bytes` →
 //! `SimulationBuilder::resume_with_sink`.
 //!
-//! Each round also attempts a fixed set of corrupt-checkpoint resumes
-//! (outside the timed part): single bit flips of one checkpoint. A flip
-//! succeeds when the resume returns a `CheckpointError`; it fails when the
-//! corrupted state resumes and runs, or panics. The checkpoint and the
-//! flip positions do not depend on `--seed`, so the same flips fail in
-//! every run and the failed share of operations is the same.
+//! After its rounds each pass attempts a fixed set of corrupt-checkpoint
+//! resumes (outside the timed part): single bit flips of one checkpoint.
+//! A flip succeeds when the resume returns a `CheckpointError`; it fails
+//! when the corrupted state resumes and runs, or panics. The checkpoint
+//! and the flip positions do not depend on `--seed`, and a pass plans a
+//! fixed number of rounds, so the same flips fail in every run of one
+//! length and the failed share of operations is the same.
 
 use std::io::{self, Write};
 use std::panic::{self, AssertUnwindSafe};
@@ -30,7 +31,7 @@ use crate::primitives::PrimitiveInputs;
 
 const SIDE: usize = 16;
 const CHECKPOINT_EVERY: u64 = 4;
-/// Corrupt-checkpoint operations per round.
+/// Corrupt-checkpoint operations per pass.
 const FLIPS: u64 = 8;
 /// The corrupted checkpoint: this scenario and seed, after this many rounds.
 const FLIP_SCENARIO: &str = "combined";
@@ -346,7 +347,6 @@ fn flip_fails(adversary: &AdversarialScenario, base: &[u8], position: usize) -> 
 pub fn run(pass: &Pass) -> Result<Tally, String> {
     let base = derive_labeled_seed(pass.seed, "hostile_resume");
     let scenarios = scenarios();
-    let (flip_adversary, flip_base, flip_positions) = flip_inputs(&scenarios);
     let mut tally = Tally::new(pass);
     while tally.wants_round(pass) {
         let first = tally.round_index() == 0;
@@ -367,16 +367,17 @@ pub fn run(pass: &Pass) -> Result<Tally, String> {
                 check_resume_equivalence(name, adversary, seed)?;
             }
         }
-        // A corrupted resume may panic; keep those panics off stderr.
-        let hook = panic::take_hook();
-        panic::set_hook(Box::new(|_| {}));
-        let failed = flip_positions
-            .iter()
-            .filter(|&&position| flip_fails(&flip_adversary, &flip_base, position))
-            .count() as u64;
-        panic::set_hook(hook);
-        tally.attempted += FLIPS;
-        tally.failed += failed;
     }
+    let (flip_adversary, flip_base, flip_positions) = flip_inputs(&scenarios);
+    // A corrupted resume may panic; keep those panics off stderr.
+    let hook = panic::take_hook();
+    panic::set_hook(Box::new(|_| {}));
+    let failed = flip_positions
+        .iter()
+        .filter(|&&position| flip_fails(&flip_adversary, &flip_base, position))
+        .count() as u64;
+    panic::set_hook(hook);
+    tally.attempted += FLIPS;
+    tally.failed += failed;
     Ok(tally)
 }

@@ -27,7 +27,7 @@ use std::process::ExitCode;
 use noc_obs::Metrics;
 use stochastic_noc::EngineObs;
 
-use harness::{Pass, Tally};
+use harness::{Pass, Tally, MIN_ROUNDS};
 use output::{Values, END_TO_END, PER_LAYER};
 use primitives::PrimitiveInputs;
 use stats::{median, secs, tail};
@@ -95,7 +95,10 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 )
             }
             "--seed" => seed = Some(number()?),
-            "--seconds" => seconds = Some(number()?.clamp(1, 60)),
+            "--seconds" => match number()? {
+                0 => return Err("--seconds must be at least 1".to_string()),
+                s => seconds = Some(s),
+            },
             "--trace" => {
                 trace = Some(match value.as_str() {
                     "0" => false,
@@ -114,12 +117,12 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     })
 }
 
-/// A pass over `share` of the run's rounds (at least one).
+/// A pass over `share` of the run's rounds (at least [`MIN_ROUNDS`]).
 fn pass(args: &Args, share: f64, obs: Option<EngineObs>) -> Pass {
     let seconds = args.seconds as f64 * share;
     Pass {
         seed: args.seed,
-        planned: ((seconds * args.workload.rounds_per_second).ceil() as u64).max(1),
+        planned: ((seconds * args.workload.rounds_per_second).ceil() as u64).max(MIN_ROUNDS),
         deadline_ns: (seconds * DEADLINE_FACTOR as f64 * 1e9) as u64,
         obs,
     }
@@ -129,7 +132,7 @@ fn pass(args: &Args, share: f64, obs: Option<EngineObs>) -> Pass {
 fn end_to_end(args: &Args) -> Result<String, String> {
     let tally = (args.workload.run)(&pass(args, 1.0, None))?;
     let mut values = Values::default();
-    tally.end_to_end(&mut values);
+    tally.end_to_end(&mut values)?;
     values.set("peak_rss_mb", rss::peak_rss_mb()?);
     output::render(true, tally.attempted, tally.failed, &END_TO_END, &values)
 }
@@ -145,8 +148,8 @@ fn per_layer(args: &Args) -> Result<String, String> {
 
     let mut values = Values::default();
     let (mut plain_e2e, mut traced_e2e) = (Values::default(), Values::default());
-    plain.end_to_end(&mut plain_e2e);
-    traced.end_to_end(&mut traced_e2e);
+    plain.end_to_end(&mut plain_e2e)?;
+    traced.end_to_end(&mut traced_e2e)?;
     let wall = |v: &Values| v.get("wall_s").expect("wall_s measured");
     values.set("obs.overhead_s", wall(&traced_e2e) - wall(&plain_e2e));
 
@@ -263,5 +266,30 @@ fn main() -> ExitCode {
             eprintln!("gossipbench: {}: {e}", args.workload.name);
             ExitCode::from(1)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(seconds: &str) -> Result<Args, String> {
+        let args = [
+            "--workload",
+            "paper_mc",
+            "--seed",
+            "1",
+            "--seconds",
+            seconds,
+        ];
+        parse_args(&args.map(String::from))
+    }
+
+    #[test]
+    fn seconds_must_be_positive_and_is_not_capped() {
+        assert!(parse("0").is_err());
+        assert!(parse("-1").is_err());
+        assert_eq!(parse("1").expect("valid").seconds, 1);
+        assert_eq!(parse("120").expect("valid").seconds, 120);
     }
 }

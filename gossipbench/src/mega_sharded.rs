@@ -7,21 +7,21 @@ use noc_fabric::{NodeId, Topology};
 use noc_faults::FaultModel;
 use noc_obs::Stopwatch;
 use stochastic_noc::seed::{derive_labeled_seed, derive_trial_seed};
-use stochastic_noc::{CounterSink, SimulationBuilder, SimulationReport, StochasticConfig};
+use stochastic_noc::{SimulationBuilder, SimulationReport, StochasticConfig};
 
 use crate::checks::{self, TECH};
-use crate::harness::{drive, Layers, Pass, Tally, Trial};
+use crate::harness::{timed_trial, Pass, Tally, Trial};
 use crate::primitives::PrimitiveInputs;
 
 const SIDE: usize = 64;
-const MESSAGES: usize = 8;
+const MESSAGES: usize = 4;
 const SHARDS: usize = 2;
 const PAYLOAD_LEN: usize = 8;
 /// Trial 0 of a round floods fault-free; trial 1 gossips under faults.
 const TRIALS: u64 = 2;
 
 /// Rounds per second of `--seconds` on the 2-core reference host.
-pub const ROUNDS_PER_SECOND: f64 = 0.38;
+pub const ROUNDS_PER_SECOND: f64 = 0.95;
 
 fn faulty_model() -> FaultModel {
     FaultModel::builder()
@@ -83,45 +83,9 @@ fn builder(faulty: bool, seed: u64, shards: usize) -> SimulationBuilder {
 }
 
 fn trial(faulty: bool, seed: u64, pass: &Pass) -> Trial<SimulationReport> {
-    let mut layers = Layers::default();
     let setup = Stopwatch::start();
-    let mut builder = builder(faulty, seed, SHARDS);
-    let (setup_ns, body_ns, report) = if let Some(obs) = &pass.obs {
-        builder = builder.obs(obs.clone());
-        let mut sim = builder.build_with_sink(CounterSink::new());
-        for (src, dst) in burst() {
-            sim.inject(NodeId(src), NodeId(dst), payload(seed));
-        }
-        let setup_ns = setup.elapsed_nanos();
-        let body = Stopwatch::start();
-        let (report, counters, tally) = drive(sim, Some(&mut layers.step_ns));
-        let body_ns = body.elapsed_nanos();
-        layers.build_ns.push(setup_ns);
-        layers.emitted += checks::events_emitted(&counters);
-        layers.duplicate_drops += counters.totals().duplicate_drops;
-        layers.upsets_fired += tally.upsets;
-        layers.overflow_drops += tally.overflow_drops;
-        layers.skew_draws += tally.skew_draws;
-        (setup_ns, body_ns, report)
-    } else {
-        let mut sim = builder.build();
-        for (src, dst) in burst() {
-            sim.inject(NodeId(src), NodeId(dst), payload(seed));
-        }
-        let setup_ns = setup.elapsed_nanos();
-        let body = Stopwatch::start();
-        let (report, ..) = drive(sim, None);
-        (setup_ns, body.elapsed_nanos(), report)
-    };
-    layers.count_report(&report);
-    Trial {
-        setup_ns,
-        body_ns,
-        packets: report.packets_sent,
-        sim_rounds: report.rounds_executed,
-        layers,
-        result: report,
-    }
+    let builder = builder(faulty, seed, SHARDS);
+    timed_trial(setup, builder, &burst(), &payload(seed), pass)
 }
 
 /// (f) Replays a trial at one shard.

@@ -9,10 +9,10 @@ use noc_faults::{CrashSchedule, FaultInjector, FaultModel};
 use noc_obs::Stopwatch;
 use stochastic_noc::reference::ReferenceSimulation;
 use stochastic_noc::seed::{derive_labeled_seed, derive_trial_seed};
-use stochastic_noc::{CounterSink, SimulationBuilder, SimulationReport, StochasticConfig};
+use stochastic_noc::{SimulationBuilder, SimulationReport, StochasticConfig};
 
 use crate::checks::{self, TECH};
-use crate::harness::{drive, Layers, Pass, Tally, Trial};
+use crate::harness::{timed_trial, Layers, Pass, Tally, Trial};
 use crate::primitives::PrimitiveInputs;
 
 /// Master–Slave points: `(p, p_upset, crashed fabric tiles, ttl, round
@@ -174,41 +174,9 @@ fn master_slave_trial(point: usize, seed: u64) -> Trial<Outcome> {
 }
 
 fn broadcast_trial(point: usize, seed: u64, pass: &Pass) -> Trial<Outcome> {
-    let mut layers = Layers::default();
     let setup = Stopwatch::start();
-    let (mut builder, src, dst) = broadcast_builder(point, seed);
-    let (setup_ns, body_ns, report) = if let Some(obs) = &pass.obs {
-        builder = builder.obs(obs.clone());
-        let mut sim = builder.build_with_sink(CounterSink::new());
-        sim.inject(NodeId(src), NodeId(dst), payload(seed));
-        let setup_ns = setup.elapsed_nanos();
-        let body = Stopwatch::start();
-        let (report, counters, tally) = drive(sim, Some(&mut layers.step_ns));
-        let body_ns = body.elapsed_nanos();
-        layers.build_ns.push(setup_ns);
-        layers.emitted += checks::events_emitted(&counters);
-        layers.duplicate_drops += counters.totals().duplicate_drops;
-        layers.upsets_fired += tally.upsets;
-        layers.overflow_drops += tally.overflow_drops;
-        layers.skew_draws += tally.skew_draws;
-        (setup_ns, body_ns, report)
-    } else {
-        let mut sim = builder.build();
-        sim.inject(NodeId(src), NodeId(dst), payload(seed));
-        let setup_ns = setup.elapsed_nanos();
-        let body = Stopwatch::start();
-        let (report, ..) = drive(sim, None);
-        (setup_ns, body.elapsed_nanos(), report)
-    };
-    layers.count_report(&report);
-    Trial {
-        setup_ns,
-        body_ns,
-        packets: report.packets_sent,
-        sim_rounds: report.rounds_executed,
-        layers,
-        result: Outcome::Broadcast(report),
-    }
+    let (builder, src, dst) = broadcast_builder(point, seed);
+    timed_trial(setup, builder, &[(src, dst)], &payload(seed), pass).map(Outcome::Broadcast)
 }
 
 /// (e) Replays a broadcast trial on `ReferenceSimulation`. The reference

@@ -10,7 +10,7 @@ use noc_obs::Stopwatch;
 use stochastic_noc::SendBuffer;
 
 use crate::output::Values;
-use crate::stats::median;
+use crate::stats::{median, MEDIAN_SAMPLES};
 
 /// What a workload's primitives are timed on.
 pub struct PrimitiveInputs {
@@ -23,7 +23,7 @@ pub struct PrimitiveInputs {
 }
 
 /// Batches per primitive; the median batch is reported.
-const BATCHES: usize = 15;
+const BATCHES: usize = MEDIAN_SAMPLES + 1;
 /// Operations per batch.
 const OPS: usize = 4096;
 /// Messages per send buffer.
