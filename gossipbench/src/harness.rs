@@ -234,36 +234,41 @@ impl Tally {
         results
     }
 
-    /// The end-to-end metrics except `peak_rss_mb`. Totals are sums over
-    /// the run's rounds (scaled up to the planned rounds if the deadline
-    /// cut the run short) and rates are totals over total wall time: the
-    /// host alternates between faster and slower spells lasting about a
-    /// second, and only a sum over many of them is steady from run to run.
+    /// The end-to-end metrics except `peak_rss_mb`. Host times are the
+    /// median round's time times the planned rounds, and rates are the
+    /// mean simulated work of a round over the median round's time: the
+    /// host has slow spells of one to a few seconds, and a median over the
+    /// rounds of a run leaves them out where a sum would not.
     ///
-    /// Fails when a trial point has too few samples for the percentile
-    /// rule, which [`MIN_ROUNDS`] prevents.
+    /// Fails when a trial point or the rounds have too few samples for the
+    /// percentile rule, which [`MIN_ROUNDS`] prevents.
     pub fn end_to_end(&self, values: &mut Values) -> Result<(), String> {
-        let total = |f: fn(&Round) -> u64| self.rounds.iter().map(f).sum::<u64>() as f64;
-        let wall = total(|r| r.wall_ns) * 1e-9;
-        let scale = self.planned as f64 / self.rounds.len().max(1) as f64;
-        values.set("setup_s", total(|r| r.setup_ns) * 1e-9 * scale);
-        values.set("wall_s", wall * scale);
-        values.set("trials_per_s", total(|r| r.trials) / wall);
+        let median_of = |what: &str, samples: &[u64]| {
+            percentile(&secs(samples), 0.5)
+                .ok_or_else(|| format!("{} {what} samples, too few for a median", samples.len()))
+        };
+        let per_round = |f: fn(&Round) -> u64| self.rounds.iter().map(f).collect::<Vec<u64>>();
+        let mean = |f: fn(&Round) -> u64| {
+            per_round(f).iter().sum::<u64>() as f64 / self.rounds.len().max(1) as f64
+        };
+        let planned = self.planned as f64;
+        let wall = median_of("round wall-time", &per_round(|r| r.wall_ns))?;
+        values.set(
+            "setup_s",
+            median_of("round set-up", &per_round(|r| r.setup_ns))? * planned,
+        );
+        values.set("wall_s", wall * planned);
+        values.set("trials_per_s", mean(|r| r.trials) / wall);
         // A round mixes trial kinds whose times differ up to a hundredfold,
         // so a pooled median would fall between kinds: take the median of
         // each trial point and average over the points.
         let mut p50 = 0.0;
-        for (point, samples) in self.trial_ns.iter().enumerate() {
-            p50 += percentile(&secs(samples), 0.5).ok_or_else(|| {
-                format!(
-                    "trial point {point} has {} samples, too few for a median",
-                    samples.len()
-                )
-            })?;
+        for samples in &self.trial_ns {
+            p50 += median_of("trial", samples)?;
         }
         values.set("trial_p50_s", p50 / self.trial_ns.len().max(1) as f64);
-        values.set("sim_packets_per_s", total(|r| r.packets) / wall);
-        values.set("sim_rounds_per_s", total(|r| r.sim_rounds) / wall);
+        values.set("sim_packets_per_s", mean(|r| r.packets) / wall);
+        values.set("sim_rounds_per_s", mean(|r| r.sim_rounds) / wall);
         Ok(())
     }
 }
@@ -398,6 +403,9 @@ mod tests {
             .expect("enough rounds");
         // The mean of the two points' medians.
         assert_eq!(values.get("trial_p50_s"), Some(2e-3));
+        // Planned rounds times the median round.
+        let wall = values.get("wall_s").expect("wall_s set");
+        assert!((wall - MIN_ROUNDS as f64 * 2e-3).abs() < 1e-12);
     }
 
     #[test]
